@@ -47,7 +47,7 @@ ACCURATE_COVERER_CFG = {
 class PolygonIndexBundle:
     """Picklable, broadcastable polygon index + refinement geometry."""
 
-    structure: str  # 'act' | 'act1' | 'act2' | 'act4' | 'lb' | 'btree'
+    structure: str  # 'act1' | 'act2' | 'act4' | 'lb' | 'btree'
     index: object  # probe_refs(point_ids) -> (row, poly, is_true)
     pset: PolygonSet
     extent: float
@@ -168,7 +168,6 @@ _STRUCTURES = {
     "act1": lambda sc: build_act(sc, 1),
     "act2": lambda sc: build_act(sc, 2),
     "act4": lambda sc: build_act(sc, 4),
-    "act": lambda sc: build_act(sc, 4),
     "lb": build_sorted_vector,
     "btree": build_btree,
 }
@@ -179,7 +178,7 @@ def build_index(
     extent: float,
     mode: str = "approx",
     precision_m: float | None = 4.0,
-    structure: str = "act",
+    structure: str = "act4",
     coverer_cfg: dict | None = None,
     spark: SparkSession | None = None,
     supercov: SuperCovering | None = None,
@@ -247,26 +246,52 @@ def probe_batch(
     """One probe+refine batch: (point_row, poly_id, true_hit, stats).
 
     This is the per-partition kernel, also usable on the driver (the
-    paper's single-threaded probe loop).
+    paper's single-threaded probe loop). Points that are not finite or lie
+    outside ``[0, extent)`` join nothing: no polygon reaches them, and
+    mapping them to a cell would clip them into a border cell.
     """
+    n_points = len(px)
+    # Every comparison with NaN is False, so NaN and +-inf fall outside too.
+    inside = (px >= 0) & (px < bundle.extent) & (py >= 0) & (py < bundle.extent)
+    kept = None if inside.all() else np.flatnonzero(inside)
+    if kept is not None:
+        px, py = px[kept], py[kept]
     pt = cellid.cell_from_point(px, py, bundle.extent)
     rows, polys, is_true = bundle.index.probe_refs(pt)
     stats = {
-        "points": int(len(px)),
+        "points": n_points,
         "true_pairs": int(is_true.sum()),
         "cand_pairs": int((~is_true).sum()),
         "pip_tests": 0,
     }
     # Solely-true-hit points skip refinement entirely (Table 7's STH):
-    # points whose probe returned no candidate reference.
+    # points whose probe returned no candidate reference. Dropped points
+    # are never refined, so they count too.
     has_cand = np.zeros(len(px), dtype=bool)
     has_cand[rows[~is_true]] = True
-    stats["sth_points"] = int((~has_cand).sum())
+    stats["sth_points"] = n_points - int(has_cand.sum())
     if exact:
         keep, n_pip = refine_candidates(px, py, rows, polys, is_true, bundle.pset)
         stats["pip_tests"] = n_pip
         rows, polys, is_true = rows[keep], polys[keep], is_true[keep]
+    if kept is not None:
+        rows = kept[rows]
     return rows, polys, is_true, stats
+
+
+def _one_task_per_slot(spark: SparkSession, points_df: DataFrame) -> DataFrame:
+    """``points_df`` merged into at most one partition per task slot.
+
+    Each Python task has a fixed cost of ~250 ms in a reused worker
+    (pyspark 4.1's per-task set-up invalidates the import caches, so every
+    cached zipimporter re-reads ``pyspark.zip``). One task per slot,
+    streaming all of its Arrow batches through the kernel, pays it once per
+    slot instead of once per input partition. ``coalesce`` is narrow (no
+    shuffle) and a no-op on inputs that already have no more partitions
+    than slots; it merges neighbouring partitions regardless of their size,
+    so skewed inputs stay skewed (DESIGN.md §5).
+    """
+    return points_df.coalesce(spark.sparkContext.defaultParallelism)
 
 
 def spatial_join(
@@ -277,8 +302,10 @@ def spatial_join(
 ) -> DataFrame:
     """DataFrame -> DataFrame point-polygon join (pid, poly_id, true_hit).
 
-    ``exact=None`` derives the refinement from the bundle mode
-    (approx -> no PIP tests, accurate -> PIP tests on candidates).
+    The result has at most one partition per task slot
+    (``defaultParallelism``). ``exact=None`` derives the refinement from the
+    bundle mode (approx -> no PIP tests, accurate -> PIP tests on
+    candidates).
     """
     if exact is None:
         exact = bundle.mode == "accurate"
@@ -298,7 +325,9 @@ def spatial_join(
                 }
             )
 
-    return points_df.mapInPandas(kernel, schema="pid long, poly_id long, true_hit boolean")
+    return _one_task_per_slot(spark, points_df).mapInPandas(
+        kernel, schema="pid long, poly_id long, true_hit boolean"
+    )
 
 
 def spatial_join_stats(
@@ -310,7 +339,8 @@ def spatial_join_stats(
     """Aggregated per-partition probe counters (points, STH, PIP tests...).
 
     The paper reports these (e.g. the solely-true-hits metric of Table 7);
-    each partition emits one counter row, aggregated on the driver.
+    each partition (one per task slot, as in :func:`spatial_join`) emits one
+    counter row, aggregated on the driver.
     """
     if exact is None:
         exact = bundle.mode == "accurate"
@@ -338,7 +368,7 @@ def spatial_join_stats(
         "points long, true_pairs long, cand_pairs long, pip_tests long, "
         "sth_points long, result_pairs long"
     )
-    pdf = points_df.mapInPandas(kernel, schema=schema).toPandas()
+    pdf = _one_task_per_slot(spark, points_df).mapInPandas(kernel, schema=schema).toPandas()
     return pdf.sum().to_frame().T
 
 

@@ -277,24 +277,3 @@ def point_to_polygon_distance(
     out[inside] = 0.0
     return out
 
-
-def segments_cross_count(
-    ax1, ay1, ax2, ay2, bx1, by1, bx2, by2
-) -> np.ndarray:
-    """Count proper crossings of each A-segment with each B-segment.
-
-    A (N,) x B (E,) -> (N, E) boolean of "segments properly intersect"
-    summed over E. Used by the S2ShapeIndex-analog baseline, which decides
-    containment by counting crossings of the segment point->cell-center
-    against the polygon edges stored in the cell.
-    """
-
-    def side(x1, y1, x2, y2, px, py):
-        return (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-
-    a1 = side(ax1, ay1, ax2, ay2, bx1, by1)
-    a2 = side(ax1, ay1, ax2, ay2, bx2, by2)
-    b1 = side(bx1, by1, bx2, by2, ax1, ay1)
-    b2 = side(bx1, by1, bx2, by2, ax2, ay2)
-    proper = ((a1 > 0) != (a2 > 0)) & ((b1 > 0) != (b2 > 0))
-    return proper.sum(axis=-1)

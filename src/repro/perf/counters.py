@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -86,3 +87,22 @@ def measure_probe(
         ns_per_point=ns,
         throughput_mpts=n / best / 1e6,
     )
+
+
+def interleaved_best(
+    calls: list[Callable[[], object]], rounds: int
+) -> tuple[list[float], list[object]]:
+    """Fastest wall clock (s) of each call over ``rounds``, and its result.
+
+    Each round runs every call once, so a stretch in which the host runs
+    slower lands on all of them alike instead of on whichever call was
+    being timed then; callers compare the calls with each other.
+    """
+    best = [float("inf")] * len(calls)
+    results: list[object] = [None] * len(calls)
+    for _ in range(rounds):
+        for i, call in enumerate(calls):
+            t0 = time.perf_counter()
+            results[i] = call()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best, results

@@ -9,10 +9,10 @@ data with a 2009-trained index).
 """
 from __future__ import annotations
 
-import time
-
+from functools import partial
 
 from repro.core.join import probe_batch
+from repro.perf.counters import interleaved_best
 from repro.tables import emit, format_rows
 from repro.tables import datasets as ds
 
@@ -31,15 +31,21 @@ PAPER = {
 PAPER_TRAIN_SIZES = (100_000, 500_000, 1_000_000)
 
 
-def join_seconds(bundle, px, py, repeats: int = 2) -> tuple[float, dict]:
-    """Best-of-N wall clock of the full accurate join (probe + refine)."""
-    best = float("inf")
-    stats = {}
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        _rows, _polys, _t, stats = probe_batch(bundle, px, py, exact=True)
-        best = min(best, time.perf_counter() - t0)
-    return best, stats
+#: Interleaved timing rounds on test-scale points; see join_seconds().
+ROUNDS = 30
+
+
+def join_seconds(bundles, px, py) -> tuple[list[float], list[dict]]:
+    """Fastest wall clock of the full accurate join (probe + refine) and
+    its counters, per bundle, timed in rounds interleaved over the bundles
+    (the table's speedups compare them)."""
+    # Test-scale joins take a few ms and need many rounds to find an
+    # undisturbed one; bench-scale joins take seconds each.
+    best, results = interleaved_best(
+        [partial(probe_batch, b, px, py, exact=True) for b in bundles],
+        ROUNDS if len(px) < 100_000 else 2,
+    )
+    return best, [stats for _r, _p, _t, stats in results]
 
 
 #: Query points for the timed accurate join. 500k (vs 2M elsewhere) keeps
@@ -51,11 +57,14 @@ def run(spark=None, scale: str = "test") -> list[dict]:
     px, py, _pt = ds.point_cells("taxi", scale, n=N_QUERY[scale], seed=7)
     rows = []
     for name in ("boroughs", "neighborhoods", "census"):
-        base = ds.accurate_index(name, scale, n_train=0, spark=spark)
-        t_base, st_base = join_seconds(base, px, py)
-        for n_train, n_paper in zip(ds.TRAIN_SIZES[scale], PAPER_TRAIN_SIZES):
-            trained = ds.accurate_index(name, scale, n_train=n_train, spark=spark)
-            t_tr, st_tr = join_seconds(trained, px, py)
+        bundles = [
+            ds.accurate_index(name, scale, n_train=n_train, spark=spark)
+            for n_train in (0, *ds.TRAIN_SIZES[scale])
+        ]
+        (t_base, *t_trained), (st_base, *st_trained) = join_seconds(bundles, px, py)
+        for n_train, n_paper, t_tr, st_tr in zip(
+            ds.TRAIN_SIZES[scale], PAPER_TRAIN_SIZES, t_trained, st_trained
+        ):
             rows.append(
                 {
                     "dataset": name,

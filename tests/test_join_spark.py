@@ -168,6 +168,57 @@ class TestApproxJoin:
         assert n[15.0] <= n[60.0]
 
 
+class TestPartitioning:
+    def test_one_task_per_slot(self, spark, neigh, points_pdf, exact_bundle):
+        """Inputs with more partitions than task slots are joined in one
+        Python task per slot, with the same pairs as the 8-partition input."""
+        slots = spark.sparkContext.defaultParallelism
+        sdf = spark.createDataFrame(points_pdf).repartition(4 * slots)
+        joined = spatial_join(spark, sdf, exact_bundle).select("pid", "poly_id")
+        assert joined.rdd.getNumPartitions() <= slots
+        assert_equivalent(
+            joined, PIP_JOIN_SQL, points=points_pdf, edges=neigh.edges_pdf()
+        )
+
+
+class TestBadInput:
+    """Non-finite and out-of-region points join nothing in either mode."""
+
+    BAD_XY = [(-500.0, 100.0), (8692.0, 100.0), (np.nan, 100.0), (np.inf, 100.0)]
+
+    @pytest.fixture(scope="class")
+    def mixed_pdf(self, points_pdf):
+        """200 valid points with the bad ones spliced in among them."""
+        pdf = points_pdf.iloc[:200].copy()
+        for k, (x, y) in enumerate(self.BAD_XY):
+            pdf.loc[50 * k + 7, ["x", "y"]] = (x, y)
+        return pdf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bundle_name", ["approx_bundle", "exact_bundle"])
+    def test_bad_points_join_nothing(self, request, spark, mixed_pdf, bundle_name):
+        bundle = request.getfixturevalue(bundle_name)
+        exact = bundle.mode == "accurate"
+        bad_x, bad_y = (np.array(v) for v in zip(*self.BAD_XY))
+        rows, _p, _t, stats = probe_batch(bundle, bad_x, bad_y, exact)
+        assert len(rows) == 0
+        assert stats["points"] == stats["sth_points"] == len(self.BAD_XY)
+        assert stats["true_pairs"] == stats["cand_pairs"] == 0
+
+        # Mixed in, they leave the valid points' pairs as they were.
+        x, y = mixed_pdf["x"].to_numpy(), mixed_pdf["y"].to_numpy()
+        ok = np.isfinite(x) & (x >= 0) & (x < sd.EXTENT)
+        pid = mixed_pdf["pid"].to_numpy()
+        rows, polys, _t, _s = probe_batch(bundle, x, y, exact)
+        vrows, vpolys, _t, _s = probe_batch(bundle, x[ok], y[ok], exact)
+        want = sorted(zip(pid[ok][vrows].tolist(), vpolys.tolist()))
+        assert sorted(zip(pid[rows].tolist(), polys.tolist())) == want
+
+        joined = spatial_join(spark, spark.createDataFrame(mixed_pdf), bundle)
+        got = joined.select("pid", "poly_id").toPandas()
+        assert sorted(zip(got["pid"].tolist(), got["poly_id"].tolist())) == want
+
+
 class TestJoinStats:
     def test_stats_consistency(self, spark, points_sdf, exact_bundle):
         stats = spatial_join_stats(spark, points_sdf, exact_bundle)

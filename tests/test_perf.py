@@ -9,7 +9,7 @@ from repro.core.covering import precision_covering
 from repro.core.supercovering import merge_coverings
 from repro.baselines.btree import build_btree
 from repro.baselines.sorted_vector import build_sorted_vector
-from repro.perf.counters import ProbeCounters, measure_probe
+from repro.perf.counters import ProbeCounters, interleaved_best, measure_probe
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +67,14 @@ class TestMeasureProbe:
         sc, pt = setup
         c = measure_probe("ACT2", build_act(sc, 2), pt, repeats=2)
         assert c.ns_per_point == pytest.approx(1e3 / c.throughput_mpts, rel=1e-6)
+
+
+class TestInterleavedBest:
+    def test_rounds_interleave_calls(self):
+        order = []
+        best, results = interleaved_best(
+            [lambda: order.append("a") or 1, lambda: order.append("b") or 2], rounds=3
+        )
+        assert order == ["a", "b"] * 3
+        assert results == [1, 2]
+        assert len(best) == 2 and all(t >= 0 for t in best)
